@@ -28,5 +28,5 @@ assert speedup >= 5, (
 print(f"tier-0 sweep cost ratio: {speedup:.1f}x")
 EOF
 
-echo "--- per-cell cost benchmark (asserts tier-0 >= 10x, tier-1 > 1.05x)"
+echo "--- per-cell cost benchmark (asserts tier-0 >= 10x, batched cilk_for builder > 1.05x)"
 python -m pytest benchmarks/bench_engine_tiers.py --benchmark-only -q

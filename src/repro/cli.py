@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-run metrics/attribution JSON path")
     tr.add_argument("--gantt", action="store_true", help="print the ASCII timeline")
     tr.add_argument("--full", action="store_true", help="paper-scale parameters")
-    tr.add_argument("--fidelity", type=int, choices=(1, 2), default=2,
-                    help="simulation tier: 2 reference, 1 bit-identical "
-                         "vectorized fast paths (tier 0 has no events to trace)")
 
     swp = sub.add_parser(
         "sweep", help="parallel cached sweep of one workload's full matrix"
@@ -117,18 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--refresh", action="store_true",
                      help="ignore cached entries: re-simulate and overwrite")
     swp.add_argument("--cache-max-entries", type=int, default=None,
-                     help="evict least-recently-written entries beyond this bound")
+                     help="evict least-recently-used entries beyond this bound")
     swp.add_argument("--full", action="store_true", help="paper-scale parameters")
     swp.add_argument("--chart", action="store_true", help="include the ASCII chart")
     swp.add_argument("--metrics-out", default=None,
                      help="write sweep accounting JSON (counters, wall time)")
     swp.add_argument("--quiet", "-q", action="store_true",
                      help="suppress per-cell progress on stderr")
-    swp.add_argument("--fidelity", choices=("auto", "0", "1", "2"), default="2",
-                     help="simulation tier: 2 reference DES, 1 bit-identical "
-                          "vectorized fast paths, 0 closed-form analytic "
-                          "estimates with calibrated error bounds, auto = "
-                          "cheapest tier the sweep's options allow")
+    swp.add_argument("--fidelity", choices=("auto", "0", "2"), default="2",
+                     help="simulation tier: 2 discrete-event simulation, 0 "
+                          "closed-form analytic estimates with calibrated "
+                          "error bounds, auto = cheapest tier the sweep's "
+                          "options allow")
     swp.add_argument("--server", default=None, metavar="URL",
                      help="route the sweep through a running sweep service "
                           "(repro serve) instead of executing locally; "
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of applications to synthesize")
     syn.add_argument("--threads", type=int, nargs="+", default=None,
                      help="thread counts for cache keys and --run sweeps")
-    syn.add_argument("--fidelity", choices=("0", "1", "2"), default="0",
+    syn.add_argument("--fidelity", choices=("0", "2"), default="0",
                      help="simulation tier for --run sweeps (and the "
                           "printed cache keys)")
     syn.add_argument("--run", action="store_true",
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     prec.add_argument("workload", help="workload name (axpy, sum, ..., srad)")
     prec.add_argument("--threads", type=int, nargs="+", default=None)
     prec.add_argument("--jobs", "-j", type=int, default=1)
-    prec.add_argument("--fidelity", choices=("auto", "0", "1", "2"), default="2")
+    prec.add_argument("--fidelity", choices=("auto", "0", "2"), default="2")
     prec.add_argument("--repeat", type=int, default=1,
                       help="measure N times (baseline takes the best)")
     prec.add_argument("--full", action="store_true", help="paper-scale parameters")
@@ -376,7 +373,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spec = get_workload(args.workload)
     version = spec.resolve_version(args.model)
     params = dict(spec.paper_params if args.full else spec.default_params)
-    ctx = ExecContext().with_fidelity(args.fidelity)
+    ctx = ExecContext()
     try:
         program = spec.build(version, ctx.machine, **params)
         res = run_program(program, args.threads, ctx, version, trace=True)

@@ -110,7 +110,7 @@ def run_experiment(
     refresh: bool = False,
     trace: bool = False,
     validate: bool = False,
-    fidelity: Any = None,
+    fidelity: Any = 2,
     **params: Any,
 ) -> SweepResult:
     """Run one figure's sweep and return all series.
@@ -125,9 +125,8 @@ def run_experiment(
     - ``trace``  — attach the observability tracer to every run;
     - ``validate`` — run the invariant audit on every simulated run;
     - ``fidelity`` — simulation tier (:mod:`repro.sim.tiers`):
-      ``None`` inherits the context's tier, ``2`` reference, ``1``
-      bit-identical fast paths, ``0`` closed-form estimates, ``"auto"``
-      the cheapest tier the sweep's options allow.
+      ``2`` discrete-event simulation, ``0`` closed-form estimates,
+      ``"auto"`` the cheapest tier the sweep's options allow.
 
     Serial, parallel and cached executions are bit-identical.  A
     :class:`~repro.runtime.base.ThreadExplosionError` (the C++11 fib

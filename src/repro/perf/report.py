@@ -4,7 +4,7 @@
 into the same kind of ranked, narrated table that
 :func:`repro.obs.report.attribute_result` produces for simulated time:
 
-- **simulate** — running the discrete-event simulator (tier 1/2 cells);
+- **simulate** — running the discrete-event simulator (tier-2 cells);
 - **estimate** — tier-0 closed-form estimation;
 - **cache** — content-addressed cache probes, stores and eviction;
 - **codec** — JSON encode/decode of results and traces;

@@ -54,15 +54,6 @@ class ExecContext:
     the recursive C++11 Fibonacci explode exactly at n=20 (32836 tasks),
     matching the paper's "system hangs" threshold."""
 
-    fidelity: int = 2
-    """Simulation fidelity tier (:mod:`repro.sim.tiers`).  ``2`` is the
-    reference scalar discrete-event simulation; ``1`` enables the
-    vectorized/batched fast paths, which are bit-identical to tier 2
-    (pinned by the golden-trace and equivalence suites); ``0`` marks a
-    context used for closed-form tier-0 *estimates* — the executors
-    themselves treat it like tier 1 (tier-0 results come from
-    :func:`repro.sim.tiers.estimate_program`, not ``run_program``)."""
-
     @property
     def memory(self) -> MemoryModel:
         return _memory_model(self.machine)
@@ -73,12 +64,6 @@ class ExecContext:
 
     def with_machine(self, machine: Machine) -> "ExecContext":
         return replace(self, machine=machine)
-
-    def with_fidelity(self, fidelity: int) -> "ExecContext":
-        """Context running at another fidelity tier (see :mod:`repro.sim.tiers`)."""
-        if fidelity not in (0, 1, 2):
-            raise ValueError(f"fidelity must be 0, 1 or 2, got {fidelity!r}")
-        return replace(self, fidelity=fidelity)
 
     def duration(
         self, work: float, membytes: float = 0.0, locality: float = 1.0, active: int = 1

@@ -15,7 +15,9 @@ Two loop front-ends are provided:
   ``cilk_for`` compiles to; chunk distribution happens through steals of
   subtree tasks, which serializes ramp-up and scatters data placement
   (the paper's explanation for ``cilk_for``'s poor data-parallel
-  showing);
+  showing).  :func:`run_stealing_loop` builds it with
+  :func:`cilk_for_graph_batched`, which yields the same tree with its
+  leaf costs computed in one numpy pass;
 - :func:`flat_chunk_graph` — the "master creates one task per chunk"
   decomposition used by the ``omp task`` versions of data-parallel
   kernels.
@@ -172,25 +174,20 @@ class StealingScheduler:
         self._fail_tid: Optional[int] = None
         self._fail_err: Optional[str] = None
         self._fail_time = 0.0
-        # tier-1 fast path: memoized duration inputs (bit-identical to
-        # MemoryModel.duration — Machine methods are pure, so caching
-        # their outputs per (active, locality) changes nothing but speed)
-        if ctx.fidelity <= 1:
-            machine = ctx.machine
-            self._speed = [1.0] + [
-                machine.compute_speed(a) for a in range(1, nthreads + 1)
-            ]
-            self._bw: dict[tuple[int, float], float] = {}
-            self._duration = self._fast_duration
-        else:
-            self._duration = ctx.duration
+        # memoized duration inputs (bit-identical to MemoryModel.duration
+        # — Machine methods are pure, so caching their outputs per
+        # (active, locality) changes nothing but speed)
+        machine = ctx.machine
+        self._speed = [1.0] + [machine.compute_speed(a) for a in range(1, nthreads + 1)]
+        self._bw: dict[tuple[int, float], float] = {}
 
-    def _fast_duration(
+    def _duration(
         self, work: float, membytes: float, locality: float, active: int
     ) -> float:
-        """Replicates :meth:`MemoryModel.duration` operation-for-operation
-        (same IEEE ops in the same order), with the per-call model
-        construction and Machine method dispatch memoized."""
+        """Replicates :meth:`MemoryModel.duration` (``ctx.duration``)
+        operation-for-operation (same IEEE ops in the same order), with
+        the per-call model construction and Machine method dispatch
+        memoized."""
         if active < 1:
             active = 1
         compute = work / self._speed[active]
@@ -554,9 +551,9 @@ def cilk_for_graph_batched(
     bytes_penalty: float = 1.0,
     work_scale: float = 1.0,
 ) -> TaskGraph:
-    """Tier-1 fast path for :func:`cilk_for_graph`: identical tree
-    (same task ids, deps, tags, creation order), with the per-leaf
-    ``chunk_cost`` interpolation batched through numpy.
+    """The builder :func:`run_stealing_loop` uses: the same tree as
+    :func:`cilk_for_graph` (same task ids, deps, tags, creation order),
+    with the per-leaf ``chunk_cost`` interpolation batched through numpy.
 
     The first pass replays the splitter recursion with integers only,
     recording node order and leaf bounds; leaf costs are then computed
@@ -726,8 +723,9 @@ def run_stealing_loop(
         penalty = (
             scatter_penalty(space, nleaves, nthreads, ctx) if apply_scatter_penalty else 1.0
         )
-        build = cilk_for_graph_batched if ctx.fidelity <= 1 else cilk_for_graph
-        graph = build(space, gsize, ctx, bytes_penalty=penalty, work_scale=work_scale)
+        graph = cilk_for_graph_batched(
+            space, gsize, ctx, bytes_penalty=penalty, work_scale=work_scale
+        )
         exit_c = costs.taskwait if exit_cost is None else exit_cost
     elif style == "flat":
         nck = nchunks if nchunks is not None else nthreads * max(1, chunks_per_thread)

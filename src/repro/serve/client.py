@@ -163,7 +163,7 @@ def run_sweep_remote(
     # context's entries.  A custom machine/costs/seed sweep silently
     # answered from the server's context would be *wrong*, not slow, so
     # refuse it here instead.
-    if ctx is not None and ctx.with_fidelity(2) != ExecContext().with_fidelity(2):
+    if ctx is not None and ctx != ExecContext():
         raise ValueError(
             "server mode serves the default execution context (protocol v1); "
             "sweeps under a custom machine/cost-model/seed context must run "

@@ -78,8 +78,8 @@ class MatrixQuery:
     def __post_init__(self) -> None:
         if not self.workload or not isinstance(self.workload, str):
             raise ProtocolError("workload must be a non-empty string")
-        if self.fidelity not in (0, 1, 2):
-            raise ProtocolError(f"fidelity must be 0, 1 or 2, got {self.fidelity!r}")
+        if self.fidelity not in (0, 2):
+            raise ProtocolError(f"fidelity must be 0 or 2, got {self.fidelity!r}")
         if not self.threads:
             raise ProtocolError("threads must be non-empty")
         object.__setattr__(self, "threads", tuple(int(p) for p in self.threads))

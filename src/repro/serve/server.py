@@ -390,8 +390,7 @@ class SweepServer:
             self.perf.count("serve.bad_request")
             await self._respond_json(writer, 400, {"error": str(exc)})
             return
-        ctx = self.ctx.with_fidelity(query.fidelity)
-        keys = [cache_key(c, ctx, trace=query.trace) for c in cells]
+        keys = [cache_key(c, self.ctx, trace=query.trace) for c in cells]
         self.perf.count("serve.cells", len(cells))
 
         await self._write_head(writer, 200, "application/x-ndjson", chunked=True)
@@ -401,7 +400,7 @@ class SweepServer:
 
         async def settle(i: int) -> tuple[int, dict[str, Any], str]:
             doc, status = await self._resolve_cell(
-                keys[i], cells[i], ctx, query.trace, query.refresh
+                keys[i], cells[i], self.ctx, query.trace, query.refresh
             )
             return i, doc, status
 

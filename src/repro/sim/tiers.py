@@ -1,15 +1,13 @@
 """Tiered-fidelity simulation: closed-form tier-0 estimates.
 
-The reproduction has three fidelity tiers:
+The reproduction has two fidelity tiers:
 
-- **tier 2** (reference): the scalar discrete-event simulation — every
+- **tier 2** (simulation): the discrete-event simulation — every
   steal, lock grant and chunk dispatch is an event.  This is what the
-  validators, tracers and golden tests pin.
-- **tier 1** (fast): the same simulation with vectorized/batched fast
-  paths (batched ``cilk_for`` graph construction, memoized duration
-  model, branch-hoisted engine drain).  Tier 1 is **bit-identical** to
-  tier 2 — same event stream, same ``SimResult`` — which the
-  equivalence property suite and the golden traces enforce.
+  validators, tracers and golden tests pin.  Its work-stealing body
+  uses a batched ``cilk_for`` graph builder and a memoized duration
+  model, each pinned bit-identical to its scalar reference
+  (``cilk_for_graph``, ``MemoryModel.duration``) by the property suite.
 - **tier 0** (analytic, this module): no events at all.  Makespan is
   predicted from closed-form terms — the iteration space's block
   profile against the roofline memory model, Amdahl/greedy-scheduling
@@ -17,6 +15,10 @@ The reproduction has three fidelity tiers:
   of :mod:`repro.sim.costs` (fork, barrier, dispatch, spawn, steal).
   The result carries an **error bound** calibrated once against traced
   tier-2 runs (:func:`calibrate`).
+
+The numbers keep their old values: tier 1, once a second bit-identical
+body of the simulation, is folded into tier 2, and ``fidelity=1`` is
+rejected wherever a fidelity is accepted.
 
 Tier 0 trades exactness for cost: a cell that takes seconds of
 event-driven simulation is estimated in well under a millisecond
@@ -49,7 +51,6 @@ from repro.sim.trace import RegionResult, SimResult, WorkerStats
 
 __all__ = [
     "TIER_ANALYTIC",
-    "TIER_FAST",
     "TIER_REFERENCE",
     "Tier0Result",
     "Calibration",
@@ -60,7 +61,6 @@ __all__ = [
 ]
 
 TIER_ANALYTIC = 0
-TIER_FAST = 1
 TIER_REFERENCE = 2
 
 
@@ -199,21 +199,16 @@ def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
 
     The recursion partitions ``[0, niter)`` contiguously, so the sorted
     leaf ``lo`` values plus ``niter`` form a consecutive edge array
-    usable with :meth:`IterSpace.chunk_costs`.
+    usable with :meth:`IterSpace.chunk_costs`.  Built one recursion
+    level at a time: every range wider than ``grainsize`` gains its
+    midpoint ``(lo + hi) // 2`` in place (exact int64 arithmetic).
     """
-    los: list[int] = []
-    stack = [(0, niter)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= grainsize:
-            los.append(lo)
-        else:
-            mid = (lo + hi) // 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    los.sort()
-    los.append(niter)
-    return np.asarray(los, dtype=np.float64)
+    edges = np.array([0, niter], dtype=np.int64)
+    while True:
+        wide = np.flatnonzero(np.diff(edges) > grainsize)
+        if wide.size == 0:
+            return edges.astype(np.float64)
+        edges = np.insert(edges, wide + 1, (edges[wide] + edges[wide + 1]) // 2)
 
 
 def _edge_durations(
@@ -354,7 +349,6 @@ def _steal_graph_estimate(
     greedy-scheduling bound ``max(T1/p, T_inf)`` on roofline-inflated
     durations plus per-task queue overheads."""
     costs = ctx.costs
-    machine = ctx.machine
     g = region.graph_for(p)
     n = len(g)
     if n == 0:
@@ -368,18 +362,7 @@ def _steal_graph_estimate(
     else:
         push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
     pto = params.get("per_task_overhead", 0.0)
-    active = p if p > 1 else 1
-    speed = machine.compute_speed(active)
-    works = np.fromiter((t.work for t in g.tasks), np.float64, count=n)
-    mbytes = np.fromiter((t.membytes for t in g.tasks), np.float64, count=n)
-    durs = works / speed
-    if mbytes.any():
-        locs = np.fromiter((t.locality for t in g.tasks), np.float64, count=n)
-        for loc in np.unique(locs):
-            bw = machine.bandwidth_per_thread(active, float(loc))
-            mask = locs == loc
-            durs[mask] = np.maximum(durs[mask], mbytes[mask] / bw)
-    busy = float(durs.sum())
+    busy = float(_graph_durations(g, p if p > 1 else 1, ctx).sum())
     total_spawn = float(
         sum(t.spawn_cost if t.spawn_cost > 0 else default_spawn for t in g.tasks)
     )
@@ -392,7 +375,7 @@ def _steal_graph_estimate(
     else:
         t1 = g.total_work()
         tinf = g.critical_path()
-        inflation = busy / t1 if t1 > 0 else 1.0 / speed
+        inflation = busy / t1 if t1 > 0 else 1.0 / ctx.machine.compute_speed(p)
         steals = min(n, p * max(1.0, math.log2(n)))
         overhead = total_spawn + n * (push + pop + pto)
         chain = math.log2(p) * (steal + costs.steal_latency + costs.wake_latency)
@@ -400,11 +383,11 @@ def _steal_graph_estimate(
     return _aggregate_result(entry + time + exit_c, p, busy=busy, overhead=overhead, tasks=n)
 
 
-def _graph_durations(g, p: int, ctx) -> np.ndarray:
-    """Roofline-inflated duration of every task with ``p`` workers."""
+def _graph_durations(g, active: int, ctx) -> np.ndarray:
+    """Roofline-inflated duration of every task with ``active`` threads
+    running at once."""
     machine = ctx.machine
     n = len(g)
-    active = min(n, p) if p > 1 else 1
     speed = machine.compute_speed(active)
     works = np.fromiter((t.work for t in g.tasks), np.float64, count=n)
     mbytes = np.fromiter((t.membytes for t in g.tasks), np.float64, count=n)
@@ -435,7 +418,7 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
-    durs = _graph_durations(g, p, ctx)
+    durs = _graph_durations(g, min(n, p) if p > 1 else 1, ctx)
     busy = float(durs.sum())
 
     if kind == "amt_hpx":

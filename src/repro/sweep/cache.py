@@ -13,9 +13,9 @@ output*:
   payload, so they address different entries);
 - the fault-injection plan and recovery policy, when the sweep injects
   faults (fault-free cells hash exactly as before);
-- the fidelity tier, when below the tier-2 reference (tier-2 cells hash
-  exactly as before tiers existed; tier-0 estimates and tier-1 fast-path
-  runs address their own entries);
+- the fidelity tier, when it is the tier-0 estimate (tier-2 cells hash
+  exactly as before tiers existed; tier-0 estimates address their own
+  entries);
 - the code-relevant package version and the cache format version.
 
 Because the simulator is deterministic, two runs with equal keys are
@@ -32,10 +32,10 @@ and entry create O(small).  Stores written before sharding existed
 kept every entry flat at ``root/<key>.json``; those entries stay fully
 readable and are *adopted* (renamed into their shard) the first time
 they are read, so a flat store migrates transparently under read
-traffic without a migration step.  An append-only NDJSON index
-(``root/index.ndjson``) records every publication and eviction; it is
-advisory — the directory scan stays the source of truth — but lets an
-operator reconstruct store history without stat-ing a million files.
+traffic without a migration step.  The directory scan is the only
+record of what the store holds: a leftover ``root/index.ndjson``
+journal from an older store is ignored (never read, written or
+removed).
 
 Eviction is **true LRU**: :meth:`ResultCache.get` refreshes an entry's
 mtime on every hit (best-effort ``os.utime``), so "least recently
@@ -84,7 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "INDEX_NAME",
     "KEY_FORMAT",
     "ResultCache",
     "SHARD_WIDTH",
@@ -100,9 +99,6 @@ KEY_FORMAT = 1
 
 #: Hex chars of the key that name an entry's shard directory.
 SHARD_WIDTH = 2
-
-#: Append-only store journal (one JSON line per publication/eviction).
-INDEX_NAME = "index.ndjson"
 
 #: Staging files older than this are presumed orphaned by a crashed
 #: writer and are garbage-collected by prune()/clear().
@@ -137,8 +133,8 @@ def _key_document(cell: "SweepCell", ctx: ExecContext, trace: bool) -> dict[str,
     if getattr(cell, "policy", None):
         doc["policy"] = cell.policy
     # the fidelity tier addresses separate entries (a tier-0 estimate
-    # must never be served for a tier-2 request), but the reference tier
-    # is omitted so every pre-tiers entry keeps its address.
+    # must never be served for a tier-2 request), but tier 2 is omitted
+    # so every pre-tiers entry keeps its address.
     fidelity = getattr(cell, "fidelity", 2)
     if fidelity != 2:
         doc["fidelity"] = int(fidelity)
@@ -219,42 +215,6 @@ class ResultCache:
         if flat.exists():
             return flat
         return sharded
-
-    @property
-    def index_path(self) -> pathlib.Path:
-        return self.root / INDEX_NAME
-
-    def _index_append(self, op: str, key: str) -> None:
-        """Best-effort append to the store journal (one atomic write).
-
-        ``O_APPEND`` keeps concurrent writers' lines intact; an
-        unwritable index never fails the entry operation it records.
-        """
-        line = json.dumps({"op": op, "key": key}, separators=(",", ":")) + "\n"
-        try:
-            fd = os.open(
-                self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        except OSError:
-            pass
-
-    def index_events(self) -> Iterator[dict[str, Any]]:
-        """Replay the append-only journal (corrupt lines are skipped)."""
-        try:
-            with open(self.index_path, encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        doc = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(doc, dict):
-                        yield doc
-        except OSError:
-            return
 
     # ------------------------------------------------------------------
     # entry IO
@@ -341,7 +301,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self._index_append("put", key)
         if rec is not None:
             rec.observe("cache.store_seconds", perf_counter() - t0)
             rec.count("cache.store")
@@ -467,13 +426,13 @@ class ResultCache:
         if bound is None and ttl is None:
             return 0
         entries = []
-        for key, path in self._entry_paths():
+        for _key, path in self._entry_paths():
             try:
-                entries.append((path.stat().st_mtime_ns, str(path), key))
+                entries.append((path.stat().st_mtime_ns, str(path)))
             except OSError:
                 continue
         entries.sort(reverse=True)  # most recently used first
-        victims: list[tuple[int, str, str]] = []
+        victims: list[tuple[int, str]] = []
         if ttl is not None:
             cutoff_ns = int((time.time() - ttl) * 1e9)
             keep = [e for e in entries if e[0] > cutoff_ns]
@@ -482,12 +441,11 @@ class ResultCache:
         if bound is not None:
             victims.extend(entries[bound:])
         evicted = 0
-        for _mtime, path, key in victims:
+        for _mtime, path in victims:
             try:
                 os.unlink(path)
             except OSError:
                 continue
-            self._index_append("evict", key)
             evicted += 1
         if evicted:
             rec = _perf_current()
@@ -500,7 +458,7 @@ class ResultCache:
 
         Stale staging files are garbage-collected too (in-flight ones
         within the grace age are spared — their writer is about to
-        publish into the now-empty store), and the journal is reset.
+        publish into the now-empty store).
         """
         removed = 0
         for _key, path in self._entry_paths():
@@ -510,8 +468,4 @@ class ResultCache:
             except OSError:
                 continue
         self.gc_stale_tmp()
-        try:
-            self.index_path.unlink()
-        except OSError:
-            pass
         return removed

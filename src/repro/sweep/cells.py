@@ -38,9 +38,8 @@ class SweepCell:
     faults: Optional[Mapping[str, Any]] = None
     policy: Optional[Mapping[str, Any]] = None
     fidelity: int = 2
-    """Simulation fidelity tier (:mod:`repro.sim.tiers`): ``2`` reference
-    scalar DES, ``1`` vectorized fast paths (bit-identical results, but a
-    distinct cache address), ``0`` closed-form analytic estimate.  The
+    """Simulation fidelity tier (:mod:`repro.sim.tiers`): ``2``
+    discrete-event simulation, ``0`` closed-form analytic estimate.  The
     default keeps tier-2 cells hashing exactly as before tiers existed."""
 
     @property

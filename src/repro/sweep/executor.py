@@ -15,11 +15,10 @@ each one through exactly one of three paths:
   :func:`~repro.runtime.run.run_program` the legacy loop used.
 
 The ``fidelity`` tier (:mod:`repro.sim.tiers`) selects *what* runs at
-each cell: the reference scalar simulation (2), the bit-identical
-vectorized fast paths (1), or the closed-form tier-0 estimator (0,
-always in-process — an estimate costs microseconds).  The tier is part
-of the cell's cache address and is stamped into the stored payload, so
-an estimate can never be replayed as a simulation.
+each cell: the discrete-event simulation (2) or the closed-form tier-0
+estimator (0, always in-process — an estimate costs microseconds).  The
+tier is part of the cell's cache address and is stamped into the stored
+payload, so an estimate can never be replayed as a simulation.
 
 All three paths are bit-identical: the simulator is deterministic, and
 the JSON codec round-trips floats exactly, so a parallel or replayed
@@ -104,7 +103,6 @@ def _cell_payload(
         "validate": bool(validate),
         "faults": dict(cell.faults) if cell.faults else None,
         "policy": dict(cell.policy) if cell.policy else None,
-        "fidelity": cell.fidelity,
     }
 
 
@@ -125,7 +123,6 @@ def _exec_cell(payload: dict[str, Any]) -> dict[str, Any]:
         seed=payload["seed"],
         max_events=payload["max_events"],
         thread_cap=payload["thread_cap"],
-        fidelity=payload.get("fidelity", 2),
     )
     spec = get_workload(payload["workload"])
     try:
@@ -292,7 +289,7 @@ def run_sweep(
     validate: bool = False,
     faults=None,
     policy=None,
-    fidelity: Union[None, int, str] = None,
+    fidelity: Union[int, str] = 2,
     server: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     progress: Optional[ProgressFn] = None,
@@ -329,18 +326,18 @@ def run_sweep(
         past its retry budget under ``on_failure="raise"`` is recorded
         (and cached) as a cell error, like the modelled C++11 hang.
     fidelity:
-        Simulation fidelity tier (:mod:`repro.sim.tiers`).  ``None``
-        (the default) inherits ``ctx.fidelity`` (tier 2 for a default
-        context); ``2`` is the reference scalar simulation, ``1`` the
-        bit-identical vectorized fast paths, ``0`` the closed-form
+        Simulation fidelity tier (:mod:`repro.sim.tiers`): ``2`` (the
+        default) is the discrete-event simulation, ``0`` the closed-form
         analytic estimator (cells return
         :class:`~repro.sim.tiers.Tier0Result` with calibrated error
         bounds, always in-process — estimates are far cheaper than
         process fan-out).  ``"auto"`` picks tier 0 for plain timing
-        sweeps and tier 1 whenever exact event semantics are required
-        (tracing, validation, or fault injection).  Requesting tier 0
-        *explicitly* together with those options is a ``ValueError`` —
-        an estimate has no events to trace, audit or fault.  The tier
+        sweeps and tier 2 whenever exact event semantics are required
+        (tracing, validation, or fault injection).  Anything else,
+        including the retired tier ``1``, is a ``ValueError``.
+        Requesting tier 0 *explicitly* together with those options is a
+        ``ValueError`` — an estimate has no events to trace, audit or
+        fault.  The tier
         enters the cell's content address (tier 2 keeps its pre-tiers
         address), so tiers never share cache entries.
     server:
@@ -384,18 +381,16 @@ def run_sweep(
         fault_doc = plan.to_dict() if plan else None
         policy_doc = pol.to_dict() if pol is not None else None
     needs_events = bool(trace) or bool(validate) or fault_doc is not None or policy_doc is not None
-    if fidelity is None:
-        fid = ctx.fidelity
-    elif fidelity == "auto":
-        fid = 1 if needs_events else 0
-    elif fidelity in (0, 1, 2):
+    if fidelity == "auto":
+        fid = 2 if needs_events else 0
+    elif fidelity in (0, 2):
         fid = int(fidelity)
     else:
-        raise ValueError(f"fidelity must be 'auto', 0, 1 or 2, got {fidelity!r}")
+        raise ValueError(f"fidelity must be 'auto', 0 or 2, got {fidelity!r}")
     if fid == 0 and needs_events:
         raise ValueError(
             "fidelity=0 is an analytic estimate with no event stream; "
-            "tracing, validation and fault injection need fidelity 1 or 2 "
+            "tracing, validation and fault injection need fidelity 2 "
             "(or fidelity='auto' to pick for you)"
         )
     if server is None:
@@ -421,7 +416,6 @@ def run_sweep(
             metrics=metrics,
             progress=progress,
         )
-    ctx = ctx.with_fidelity(fid)
     reg = metrics if metrics is not None else MetricsRegistry()
     store = _coerce_cache(cache)
 

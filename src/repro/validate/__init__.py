@@ -24,9 +24,9 @@ independent layers of correctness tooling:
   none) is executed under deterministic fault injection and checked
   for determinism, declared behaviour, and the fault-aware invariants;
 - :mod:`repro.validate.tiers` — the fidelity-tier audit: tier-0
-  analytic estimates within their calibrated error bounds and tier-1
-  fast-path runs bit-identical (results *and* traces) to the tier-2
-  reference, across the whole registry;
+  analytic estimates within their calibrated error bounds of the tier-2
+  simulation, and thread explosions refused at both tiers, across the
+  whole registry;
 - :mod:`repro.validate.synth` — the synthesized-workload audit:
   seeded apps from :mod:`repro.workloads.synth` are re-synthesized
   (spec stability), run twice per cell (determinism), invariant-checked

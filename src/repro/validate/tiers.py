@@ -1,23 +1,16 @@
 """Tier audit: do the fidelity tiers keep their contracts?
 
-Two contracts from :mod:`repro.sim.tiers`, checked over the registry:
+Contracts from :mod:`repro.sim.tiers`, checked over the registry:
 
 - **tier0-bound** — the closed-form tier-0 estimate must bracket the
   tier-2 reference time within its own calibrated ``error_bound``:
   ``|t2 - t0| <= t0 * error_bound``.  Estimates that fall outside their
   declared bound are worse than slow — they are *misleading*, and the
   sweep layer advertises them as trustworthy.
-- **tier1-equivalence** — a tier-1 (vectorized fast-path) run must be
-  **bit-identical** to the tier-2 scalar reference: same times, same
-  per-worker statistics, same meta, same complete trace event stream.
-  Equality is checked on the full-fidelity codec form
-  (:func:`repro.sweep.codec.result_to_dict`), the same representation
-  the golden-trace suite pins.
-
-Thread-per-task versions that explode past the thread cap must do so at
-*every* tier (**tier-explosion-parity**) — an estimate that silently
-returns a time for the paper's hanging C++11 fib would invert a
-headline finding.
+- **tier-explosion-parity** — thread-per-task versions that explode
+  past the thread cap at tier 2 must do so at tier 0 too: an estimate
+  that silently returns a time for the paper's hanging C++11 fib would
+  invert a headline finding.
 """
 
 from __future__ import annotations
@@ -35,22 +28,20 @@ def run_tier_audit(
     calibration=None,
     report: Optional[ValidationReport] = None,
 ) -> ValidationReport:
-    """Audit tier-0 accuracy and tier-1 equivalence over the registry.
+    """Audit tier-0 accuracy over the registry.
 
     Every registered workload × version × thread count (at validation
-    parameters) is run at tier 2 with the tracer attached, re-run at
-    tier 1, and estimated at tier 0; ``calibration`` defaults to the
-    shipped :data:`~repro.sim.tiers.DEFAULT_CALIBRATION`.
+    parameters) is run at tier 2 and estimated at tier 0;
+    ``calibration`` defaults to the shipped
+    :data:`~repro.sim.tiers.DEFAULT_CALIBRATION`.
     """
     from repro.core.registry import WORKLOADS
     from repro.runtime.base import ExecContext, ThreadExplosionError
     from repro.runtime.run import run_program
     from repro.sim.tiers import estimate_program
-    from repro.sweep.codec import result_to_dict
 
     rep = report if report is not None else ValidationReport()
-    ctx2 = ExecContext()
-    ctx1 = ctx2.with_fidelity(1)
+    ctx = ExecContext()
     names = sorted(WORKLOADS)
     if workloads is not None:
         wanted = set(workloads)
@@ -61,43 +52,27 @@ def run_tier_audit(
         for version in spec.versions:
             for p in threads:
                 where = f"{name}/{version} p={p}"
-                program = spec.build(version, ctx2.machine, **params)
+                program = spec.build(version, ctx.machine, **params)
                 try:
-                    ref = run_program(program, p, ctx2, version, trace=True)
+                    ref = run_program(program, p, ctx, version)
                 except ThreadExplosionError:
-                    # the other tiers must refuse identically
-                    for tier_name, run in (
-                        ("tier1", lambda: run_program(
-                            spec.build(version, ctx1.machine, **params), p, ctx1, version
-                        )),
-                        ("tier0", lambda: estimate_program(
-                            spec.build(version, ctx2.machine, **params), p, ctx2,
+                    # tier 0 must refuse identically
+                    try:
+                        estimate_program(
+                            spec.build(version, ctx.machine, **params), p, ctx,
                             version, calibration=calibration,
-                        )),
-                    ):
-                        try:
-                            run()
-                        except ThreadExplosionError:
-                            rep.check(True, "tier-explosion-parity", where)
-                        else:
-                            rep.check(
-                                False, "tier-explosion-parity", where,
-                                f"{tier_name} did not raise ThreadExplosionError",
-                            )
+                        )
+                    except ThreadExplosionError:
+                        rep.check(True, "tier-explosion-parity", where)
+                    else:
+                        rep.check(
+                            False, "tier-explosion-parity", where,
+                            "tier0 did not raise ThreadExplosionError",
+                        )
                     continue
-                # tier 1: bit-identical result and trace
-                fast = run_program(
-                    spec.build(version, ctx1.machine, **params), p, ctx1, version,
-                    trace=True,
-                )
-                rep.check(
-                    result_to_dict(fast) == result_to_dict(ref),
-                    "tier1-equivalence", where,
-                    f"tier1 t={fast.time!r} vs tier2 t={ref.time!r}",
-                )
                 # tier 0: reference time within the declared error bound
                 est = estimate_program(
-                    spec.build(version, ctx2.machine, **params), p, ctx2, version,
+                    spec.build(version, ctx.machine, **params), p, ctx, version,
                     calibration=calibration,
                 )
                 if est.time > 0.0 and est.error_bound > 0.0:

@@ -267,16 +267,16 @@ def met_sweep(
     Runs the same graph shape at every ``grain`` for every version and
     returns per-version :class:`GrainPoint` lists (ascending grain).
     ``fidelity`` selects the simulation tier (0 = analytic estimate,
-    1/2 = event-driven).
+    2 = event-driven).
     """
     from repro.runtime.base import ExecContext
     from repro.runtime.run import run_program
     from repro.sim.tiers import estimate_program
 
+    if fidelity not in (0, 2):
+        raise ValueError(f"fidelity must be 0 or 2, got {fidelity!r}")
     if ctx is None:
         ctx = ExecContext()
-    if fidelity in (1, 2):
-        ctx = ctx.with_fidelity(fidelity)
     params = dict(extra or {})
     curves: dict[str, list[GrainPoint]] = {v: [] for v in versions}
     for grain in sorted(grains):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.sim.costs import CostModel
 from repro.sim.machine import PAPER_MACHINE, Machine
@@ -50,3 +53,25 @@ def small_ctx(small_machine: Machine) -> ExecContext:
 @pytest.fixture
 def costs() -> CostModel:
     return CostModel()
+
+
+@pytest.fixture
+def reference_bodies(monkeypatch: pytest.MonkeyPatch):
+    """Context manager that runs the work-stealing executor on its scalar
+    reference bodies: :func:`~repro.runtime.workstealing.cilk_for_graph`
+    in place of the batched builder and ``ctx.duration``
+    (:meth:`~repro.sim.memory.MemoryModel.duration`) in place of the
+    memoized ``StealingScheduler._duration``.  Results under it must be
+    bit-identical to a default run."""
+
+    def ref_duration(self, work, membytes, locality, active):
+        return self.ctx.duration(work, membytes, locality, active)
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            m.setattr(workstealing, "cilk_for_graph_batched", workstealing.cilk_for_graph)
+            m.setattr(workstealing.StealingScheduler, "_duration", ref_duration)
+            yield
+
+    return patched

@@ -176,18 +176,6 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "fidelity=2" in out and "estimated=0" in out
 
-    def test_trace_fidelity_flag(self, capsys, tmp_path):
-        """`repro trace --fidelity 1` produces the same Chrome trace as
-        the tier-2 default (tier 1 is bit-identical, traces included)."""
-        ref, fast = tmp_path / "t2.json", tmp_path / "t1.json"
-        assert main(["trace", "axpy", "-m", "cilk_for", "-p", "4",
-                     "--out", str(ref)]) == 0
-        assert main(["trace", "axpy", "-m", "cilk_for", "-p", "4",
-                     "--fidelity", "1", "--out", str(fast)]) == 0
-        assert fast.read_text() == ref.read_text()
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "axpy", "--fidelity", "0"])
-
 
 class TestValidateCommand:
     def test_validate_args(self):

@@ -379,12 +379,13 @@ def test_amt_fault_goldens_pin_table3_semantics():
 
 
 # ---------------------------------------------------------------------------
-# tiered fidelity: tier-1 fast paths must reproduce the same goldens
+# the scalar reference bodies must reproduce the same goldens
 # ---------------------------------------------------------------------------
-#: Cases chosen to drive the tier-1 fast paths hard: lud/cilk_for builds
-#: batched cilk_for graphs over skewed triangular iteration spaces;
-#: bfs/omp_task runs flat chunk tasks on locked deques through the
-#: engine's fast drain with memoized durations.
+#: Cases chosen to drive the executor's fast bodies hard: lud/cilk_for
+#: builds batched cilk_for graphs over skewed triangular iteration
+#: spaces; bfs/omp_task runs flat chunk tasks on locked deques through
+#: the engine's fast drain with memoized durations.  Their goldens keep
+#: the ``_tier1`` suffix of the tier that first wrote them.
 TIER1_CASES = [
     ("lud", "cilk_for", 4),
     ("bfs", "omp_task", 4),
@@ -397,70 +398,51 @@ def tier1_golden_path(workload: str, version: str, nthreads: int) -> pathlib.Pat
     return GOLDEN_DIR / f"{workload}_{version}_p{nthreads}_tier1.json"
 
 
-def tier1_serial_payload(workload: str, version: str, nthreads: int) -> dict:
-    """Golden document for one tier-1 (vectorized fast-path) run."""
-    ctx = ExecContext().with_fidelity(1)
+def _traced_run(workload: str, version: str, params: dict, nthreads: int):
+    ctx = ExecContext()
+    program = get_workload(workload).build(version, ctx.machine, **params)
+    return run_program(program, nthreads, ctx, version, trace=True)
+
+
+def _validation_params(workload: str) -> dict:
     spec = get_workload(workload)
-    params = dict(spec.validation_params or spec.default_params)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
-    return {
-        "workload": workload,
-        "version": version,
-        "nthreads": nthreads,
-        "params": params,
-        "fidelity": 1,
-        "time": res.time,
-        "trace": tracer_to_dict(res.trace),
-    }
-
-
-@pytest.mark.parametrize("workload,version,nthreads", TIER1_CASES, ids=TIER1_IDS)
-def test_tier1_run_matches_golden(workload, version, nthreads, update_goldens):
-    payload = tier1_serial_payload(workload, version, nthreads)
-    path = tier1_golden_path(workload, version, nthreads)
-    if update_goldens:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"updated {path.name}")
-    if not path.exists():
-        pytest.fail(
-            f"missing golden {path}; generate with "
-            "`pytest tests/test_golden_traces.py --update-goldens`"
-        )
-    assert payload == json.loads(path.read_text())
+    return dict(spec.validation_params or spec.default_params)
 
 
 @pytest.mark.parametrize("workload,version,nthreads", TIER1_CASES, ids=TIER1_IDS)
 def test_tier1_golden_equals_tier2_reference(workload, version, nthreads, update_goldens):
-    """The committed tier-1 goldens must be exactly what the tier-2
-    scalar reference produces — the on-disk form of the bit-identity
-    contract between the fast paths and the reference simulation."""
-    if update_goldens:
-        pytest.skip("golden update run")
-    ctx = ExecContext()
-    spec = get_workload(workload)
-    params = dict(spec.validation_params or spec.default_params)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
+    """The committed ``_tier1`` goldens must be exactly what the
+    simulation produces — the on-disk form of the bit-identity contract
+    between the fast bodies and the scalar reference bodies."""
+    res = _traced_run(workload, version, _validation_params(workload), nthreads)
     path = tier1_golden_path(workload, version, nthreads)
     golden = json.loads(path.read_text())
+    if update_goldens:
+        golden.update(time=res.time, trace=tracer_to_dict(res.trace))
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"updated {path.name}")
     assert res.time == golden["time"]
     assert tracer_to_dict(res.trace) == golden["trace"]
 
 
-@pytest.mark.parametrize("workload,version,params,nthreads", CASES, ids=CASE_IDS)
-def test_existing_goldens_reproduce_at_fidelity1(
-    workload, version, params, nthreads, update_goldens
+GOLDEN_CASES = [(w, v, params, p, golden_path(w, v, p)) for w, v, params, p in CASES] + [
+    (w, v, _validation_params(w), p, tier1_golden_path(w, v, p)) for w, v, p in TIER1_CASES
+]
+
+
+@pytest.mark.parametrize(
+    "workload,version,params,nthreads,path", GOLDEN_CASES, ids=CASE_IDS + TIER1_IDS
+)
+def test_goldens_reproduce_with_reference_bodies(
+    workload, version, params, nthreads, path, update_goldens, reference_bodies
 ):
-    """The original tier-2 goldens, re-run with the tier-1 fast paths
-    enabled, must reproduce bit-for-bit — same files, no new goldens."""
+    """Every golden, re-run with the scalar reference bodies patched in
+    (``cilk_for_graph``, ``MemoryModel.duration``), must reproduce
+    bit-for-bit — same files, no new goldens."""
     if update_goldens:
         pytest.skip("golden update run")
-    ctx = ExecContext().with_fidelity(1)
-    spec = get_workload(workload)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
-    golden = load_golden(workload, version, nthreads)
+    with reference_bodies():
+        res = _traced_run(workload, version, params, nthreads)
+    golden = json.loads(path.read_text())
     assert res.time == golden["time"]
     assert tracer_to_dict(res.trace) == golden["trace"]

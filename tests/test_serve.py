@@ -32,7 +32,7 @@ from tests.test_sweep_executor import sweep_fingerprint
 
 KWARGS = dict(
     versions=["omp_for", "cxx_thread"], threads=(1, 4), params={"n": 120_000},
-    fidelity=1,
+    fidelity=2,
 )
 NCELLS = 4  # 2 versions x 2 thread counts
 
@@ -68,7 +68,7 @@ def running_server(cache, **kwargs):
 class TestProtocol:
     def test_query_round_trips(self):
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
-                            params={"n": 10}, fidelity=1, trace=True,
+                            params={"n": 10}, fidelity=2, trace=True,
                             refresh=True)
         assert MatrixQuery.from_dict(query.to_dict()) == query
 
@@ -94,8 +94,6 @@ class TestProtocol:
         base = protocol.context_digest(ExecContext())
         assert protocol.context_digest(ExecContext()) == base
         assert protocol.context_digest(ExecContext(seed=7)) != base
-        # fidelity is per-query, not part of the server's identity
-        assert protocol.context_digest(ExecContext().with_fidelity(0)) == base
 
     def test_expand_query_matches_run_sweep_validation(self):
         with pytest.raises(ValueError, match="no version"):

@@ -417,44 +417,20 @@ class TestContainsAlignment:
 
 
 class TestIndexJournal:
-    """The append-only store journal records publications and
-    evictions; it is advisory and corrupt lines never break replay."""
-
-    def test_put_and_evict_recorded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            key = f"{i:02d}" * 32
-            cache.put(key, {"format": 1})
-            os.utime(cache.path_for(key), ns=(i * 10**9, i * 10**9))
-        cache.prune(max_entries=1)
-        events = list(cache.index_events())
-        puts = [e["key"] for e in events if e["op"] == "put"]
-        evicts = [e["key"] for e in events if e["op"] == "evict"]
-        assert puts == [f"{i:02d}" * 32 for i in range(3)]
-        assert sorted(evicts) == sorted([f"{i:02d}" * 32 for i in range(2)])
-
-    def test_corrupt_journal_lines_skipped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, {"format": 1})
-        with open(cache.index_path, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-        cache.put("cd" * 32, {"format": 1})
-        events = list(cache.index_events())
-        assert [e["key"] for e in events] == ["ab" * 32, "cd" * 32]
+    """Stores written by older versions carry an ``index.ndjson``
+    journal; it is never read, written or removed."""
 
     def test_journal_never_blocks_entry_io(self, tmp_path):
-        """An unwritable index is an inconvenience, not a failure."""
+        journal = tmp_path / "index.ndjson"
+        journal.write_text('{"op":"put","key":"' + "cd" * 32 + '"}\nnot json\n')
+        before = journal.read_bytes()
         cache = ResultCache(tmp_path)
-        cache.index_path.mkdir()  # make the journal path unopenable
         cache.put("ab" * 32, {"format": 1})
         assert cache.get("ab" * 32) is not None
-        assert list(cache.index_events()) == []
-
-    def test_clear_resets_journal(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, {"format": 1})
-        cache.clear()
-        assert not cache.index_path.exists()
+        assert cache.keys() == ["ab" * 32]
+        assert cache.prune(max_entries=1) == 0
+        assert cache.clear() == 1
+        assert journal.read_bytes() == before
 
 
 class TestConcurrentPutPrune:
@@ -544,9 +520,9 @@ class TestFidelityAddressing:
             cache_key(
                 SweepCell("axpy", "omp_for", 4, {"n": 120_000}, fidelity=f), ctx
             )
-            for f in (0, 1, 2)
+            for f in (0, 2)
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
 
     def test_tier2_key_is_the_legacy_key(self):
         """A default (tier-2) cell must hash exactly as cells did before
@@ -609,7 +585,6 @@ class TestFidelityAddressing:
         assert payload["fidelity"] == 0
         assert _decode_entry(payload, 0) is not None
         assert _decode_entry(payload, 2) is None
-        assert _decode_entry(payload, 1) is None
         # graft the tier-0 payload under the tier-2 address: the guard
         # still refuses to serve it
         cell = SweepCell("axpy", "omp_for", 1, {"n": 120_000})
@@ -620,6 +595,29 @@ class TestFidelityAddressing:
         )
         assert ref.counter("cache_hits") == 0
         assert ref.counter("simulations") == 1
+
+    @pytest.mark.parametrize("boundary", ["run_sweep", "MatrixQuery", "met_sweep", "cli"])
+    def test_retired_tier1_is_rejected(self, boundary, capsys):
+        """Tier 1 was folded into tier 2: a request for it fails at every
+        boundary, and the error names the tiers that exist."""
+        from repro.cli import main
+        from repro.serve.protocol import MatrixQuery, ProtocolError
+        from repro.sweep import run_sweep
+        from repro.workloads.taskgraph import met_sweep
+
+        calls = {
+            "run_sweep": (ValueError, lambda: run_sweep(
+                "axpy", versions=["omp_for"], threads=(1,), fidelity=1)),
+            "MatrixQuery": (ProtocolError, lambda: MatrixQuery("axpy", fidelity=1)),
+            "met_sweep": (ValueError, lambda: met_sweep(("omp_task",), (1e-5,), fidelity=1)),
+            "cli": (SystemExit, lambda: main(
+                ["sweep", "axpy", "--no-cache", "--fidelity", "1"])),
+        }
+        exc_type, call = calls[boundary]
+        with pytest.raises(exc_type) as info:
+            call()
+        message = capsys.readouterr().err if boundary == "cli" else str(info.value)
+        assert "1" in message and "2" in message
 
     def test_tier0_round_trip_preserves_error_bound(self, tmp_path):
         from repro.sim.tiers import Tier0Result

@@ -5,9 +5,9 @@ Three layers pin :mod:`repro.workloads.taskgraph`:
 1. **graph shape** — node/edge counts, topological validity and grain
    accounting (``T_1``, ``T_inf``) for every dependency pattern as pure
    functions of the parameters;
-2. **tier identity** — the tier-1 vectorized fast paths must reproduce
-   the tier-2 scalar reference bit-for-bit (results *and* traces) for
-   every task-capable runtime;
+2. **body identity** — the simulator's fast bodies must reproduce the
+   scalar reference bodies bit-for-bit (results *and* traces) for every
+   task-capable runtime;
 3. **goldens** — committed serial traces for two small graphs which a
    ``jobs=2`` parallel sweep (process + codec boundary) must reproduce
    exactly.  Regenerate intentionally-changed goldens with
@@ -159,19 +159,19 @@ def test_registry_builder_dispatch(ctx):
 
 
 # ---------------------------------------------------------------------------
-# tier identity: tier-1 fast paths == tier-2 scalar reference, bitwise
+# body identity: the fast bodies (once tier 1) == the scalar reference
+# bodies (once tier 2), bitwise
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("version", TASKBENCH_VERSIONS)
 @pytest.mark.parametrize("pattern", PATTERNS)
-def test_tier1_bit_identical_to_tier2(version, pattern):
+def test_tier1_bit_identical_to_tier2(version, pattern, reference_bodies):
     params = dict(pattern=pattern, width=4, steps=3, grain=1e-6)
-    docs = []
-    for fidelity in (1, 2):
-        ctx = ExecContext().with_fidelity(fidelity)
-        prog = program(version, machine=ctx.machine, **params)
-        res = run_program(prog, 4, ctx, version, trace=True)
-        docs.append(result_to_dict(res, with_trace=True))
-    assert docs[0] == docs[1]
+    ctx = ExecContext()
+    prog = program(version, machine=ctx.machine, **params)
+    fast = run_program(prog, 4, ctx, version, trace=True)
+    with reference_bodies():
+        ref = run_program(prog, 4, ctx, version, trace=True)
+    assert result_to_dict(fast, with_trace=True) == result_to_dict(ref, with_trace=True)
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,24 @@ def test_estimate_rejects_bad_nthreads():
     prog.add(parallel_for(IterSpace.uniform(64, 1e-8)))
     with pytest.raises(ValueError):
         estimate_program(prog, 0, CTX)
+
+
+@pytest.mark.parametrize("niter,grainsize", [
+    (0, 1), (1, 1), (7, 1), (1000, 13), (4096, 64), (8_000_000, 2048), (123_457, 5000),
+])
+def test_cilk_leaf_edges_match_the_splitter_recursion(niter, grainsize):
+    """The level-at-a-time leaf edges equal the halving recursion's
+    sorted leaf bounds (``cilk_for_graph``'s splitter, replayed here)."""
+    from repro.sim.tiers import _cilk_leaf_edges
+
+    los, stack = [], [(0, niter)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= grainsize:
+            los.append(lo)
+        else:
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+    edges = _cilk_leaf_edges(niter, grainsize)
+    assert edges.dtype == np.float64
+    assert edges.tolist() == sorted(los) + [niter]

@@ -1,12 +1,16 @@
-"""Tier-1 equivalence properties: the fast paths must be bit-identical.
+"""Fast-body equivalence properties: the simulator's fast bodies must be
+bit-identical to their scalar references.
 
-Tier 1 replaces scalar hot loops with vectorized/batched equivalents —
-the engine's branch-hoisted drain, the memoized duration model, the
-batched ``cilk_for`` graph builder.  "Equivalent" here means **bit
-identical**: same final time, same per-worker statistics, same executor
-meta, same complete trace event stream, down to the last ULP of every
-timestamp.  These properties pin that on seeded random programs (every
-executor, nested regions, skewed spaces), under fault injection, and on
+The simulation runs on fast equivalents of scalar hot loops — the
+engine's branch-hoisted drain, the memoized duration model
+(``StealingScheduler._duration``), the batched ``cilk_for`` graph
+builder.  The scalar references (``MemoryModel.duration``,
+``cilk_for_graph``) stay in the code as the oracle.  "Equivalent" here
+means **bit identical**: same final time, same per-worker statistics,
+same executor meta, same complete trace event stream, down to the last
+ULP of every timestamp.  These properties pin that on seeded random
+programs (every executor, nested regions, skewed spaces) run with and
+without the reference bodies patched in, under fault injection, and on
 the batched builders directly.
 """
 
@@ -17,23 +21,24 @@ import random
 import numpy as np
 import pytest
 
+from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
-from repro.runtime.workstealing import cilk_for_graph, cilk_for_graph_batched
-from repro.sim.task import IterSpace
+from repro.runtime.workstealing import StealingScheduler, cilk_for_graph, cilk_for_graph_batched
+from repro.sim.task import IterSpace, TaskGraph
 from repro.sweep.codec import result_to_dict
 from repro.validate.properties import SMALL_MACHINE, random_program
 
-CTX2 = ExecContext(machine=SMALL_MACHINE)
-CTX1 = CTX2.with_fidelity(1)
+CTX = ExecContext(machine=SMALL_MACHINE)
 
 THREADS = (1, 2, 5, 9)
 SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 
 
-def _identical(program, p, **kwargs) -> None:
-    ref = run_program(program, p, CTX2, trace=True, **kwargs)
-    fast = run_program(program, p, CTX1, trace=True, **kwargs)
+def _identical(program, p, reference_bodies, **kwargs) -> None:
+    fast = run_program(program, p, CTX, trace=True, **kwargs)
+    with reference_bodies():
+        ref = run_program(program, p, CTX, trace=True, **kwargs)
     assert type(fast.time) is float and fast.time == ref.time
     # full-fidelity comparison: regions, worker stats, meta, every
     # span/instant/engine/lock event — the codec dict covers it all
@@ -41,30 +46,39 @@ def _identical(program, p, **kwargs) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_programs_bit_identical_across_tiers(seed):
+def test_random_programs_bit_identical_across_tiers(seed, reference_bodies):
     rng = random.Random(seed)
     program = random_program(rng, seed)
     for p in THREADS:
-        _identical(program, p)
+        _identical(program, p, reference_bodies)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
-def test_random_programs_identical_under_fault_injection(seed):
+def test_random_programs_identical_under_fault_injection(seed, reference_bodies):
     rng = random.Random(seed)
     program = random_program(rng, seed)
     policy = {"max_retries": 1, "backoff": 1e-6, "on_failure": "continue"}
     for p in (1, 5):
-        _identical(program, p, faults="fail:task=3", policy=policy)
+        _identical(program, p, reference_bodies, faults="fail:task=3", policy=policy)
 
 
-def test_fidelity0_context_runs_like_fidelity1():
-    """Executors treat a fidelity-0 context as tier 1 (estimates come
-    from ``estimate_program``, never from ``run_program``)."""
-    rng = random.Random(99)
-    program = random_program(rng, 99)
-    r0 = run_program(program, 5, CTX2.with_fidelity(0), trace=True)
-    r2 = run_program(program, 5, CTX2, trace=True)
-    assert result_to_dict(r0) == result_to_dict(r2)
+def test_reference_bodies_fixture_swaps_both_bodies(reference_bodies, monkeypatch):
+    """The equivalence runs above compare against the scalar bodies, not
+    against the fast ones twice."""
+    calls = []
+    scalar = ExecContext.duration
+    monkeypatch.setattr(
+        ExecContext, "duration", lambda self, *a: calls.append(a) or scalar(self, *a)
+    )
+    g = TaskGraph()
+    g.add(1e-8)
+    StealingScheduler(g, 2, CTX)._duration(1e-8, 64.0, 0.5, 2)
+    assert calls == []
+    with reference_bodies():
+        assert workstealing.cilk_for_graph_batched is cilk_for_graph
+        StealingScheduler(g, 2, CTX)._duration(1e-8, 64.0, 0.5, 2)
+    assert calls == [(1e-8, 64.0, 0.5, 2)]
+    assert workstealing.cilk_for_graph_batched is cilk_for_graph_batched
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +97,8 @@ def _skewed(niter: int) -> IterSpace:
 def test_batched_cilk_graph_equals_scalar(niter, grainsize):
     space = _skewed(niter)
     for kwargs in ({}, {"bytes_penalty": 1.5, "work_scale": 0.9}):
-        g_ref = cilk_for_graph(space, grainsize, CTX2, **kwargs)
-        g_fast = cilk_for_graph_batched(space, grainsize, CTX2, **kwargs)
+        g_ref = cilk_for_graph(space, grainsize, CTX, **kwargs)
+        g_fast = cilk_for_graph_batched(space, grainsize, CTX, **kwargs)
         assert len(g_fast) == len(g_ref)
         for a, b in zip(g_fast.tasks, g_ref.tasks):
             # dataclass equality: work/membytes bit-equal floats, same
@@ -95,8 +109,8 @@ def test_batched_cilk_graph_equals_scalar(niter, grainsize):
 
 def test_batched_cilk_graph_uniform_space():
     space = IterSpace.uniform(2048, 3e-8, 48.0, locality=0.5)
-    g_ref = cilk_for_graph(space, 100, CTX2)
-    g_fast = cilk_for_graph_batched(space, 100, CTX2)
+    g_ref = cilk_for_graph(space, 100, CTX)
+    g_fast = cilk_for_graph_batched(space, 100, CTX)
     assert [(t.work, t.membytes, t.deps, t.tag) for t in g_fast.tasks] == [
         (t.work, t.membytes, t.deps, t.tag) for t in g_ref.tasks
     ]
@@ -108,8 +122,8 @@ def test_batched_builder_falls_back_past_exactness_guard():
     one rather than drift."""
     space = IterSpace(2**51, np.full(16, 1e-3), np.zeros(16))
     assert space.niter * space.nblocks >= 2**53
-    g_fast = cilk_for_graph_batched(space, 2**49, CTX2)
-    g_ref = cilk_for_graph(space, 2**49, CTX2)
+    g_fast = cilk_for_graph_batched(space, 2**49, CTX)
+    g_ref = cilk_for_graph(space, 2**49, CTX)
     assert [t for t in g_fast.tasks] == [t for t in g_ref.tasks]
 
 
@@ -117,31 +131,18 @@ def test_batched_builder_falls_back_past_exactness_guard():
 # the memoized duration fast path
 # ---------------------------------------------------------------------------
 def test_fast_duration_bit_equal_to_memory_model():
-    from repro.runtime.workstealing import StealingScheduler
-    from repro.sim.task import TaskGraph
-
     g = TaskGraph()
     g.add(1e-8)
-    sched = StealingScheduler(g, 9, CTX1)
+    sched = StealingScheduler(g, 9, CTX)
     rng = np.random.default_rng(13)
     for _ in range(500):
         work = float(rng.uniform(0, 1e-6))
         membytes = float(rng.choice([0.0, 8.0, 64.0, 4096.0]))
         locality = float(rng.choice([0.1, 0.5, 1.0]))
         active = int(rng.integers(0, 10))
-        assert sched._duration(work, membytes, locality, active) == CTX1.duration(
+        assert sched._duration(work, membytes, locality, active) == CTX.duration(
             work, membytes, locality, active
         )
-
-
-def test_reference_context_uses_reference_duration():
-    from repro.runtime.workstealing import StealingScheduler
-    from repro.sim.task import TaskGraph
-
-    g = TaskGraph()
-    g.add(1e-8)
-    sched = StealingScheduler(g, 4, CTX2)
-    assert sched._duration == CTX2.duration
 
 
 # ---------------------------------------------------------------------------
